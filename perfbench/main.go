@@ -8,8 +8,8 @@
 //	bash perfbench/run.sh --workload pair-cold --seed 1 --seconds 10 --trace 0
 //
 // Run it from the repository root. Each workload runs as a closed loop of
-// --clients clients (default: the number of CPUs) in one process. With
-// --trace 0 it reports the end-to-end metrics; with --trace 1 it runs the
+// one client per CPU in one process. With --trace 0 it reports the
+// end-to-end metrics; with --trace 1 it runs the
 // same stream three ways — untraced, through a span-recording executor
 // that calls each module's public functions itself, and through the
 // public entry point with the program's own phase timeline — and reports
@@ -93,10 +93,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "input seed")
 	seconds := flag.Int("seconds", 10, "measured seconds")
 	trace := flag.Int("trace", 0, "0: end-to-end metrics, 1: per-layer metrics")
-	clients := flag.Int("clients", runtime.NumCPU(), "closed-loop clients")
-	out := flag.String("out", filepath.Join(".bench_build", "perfbench-results"), "directory for the run record")
 	flag.Parse()
-	if err := run(*name, *seed, *seconds, *trace, *clients, *out); err != nil {
+	if err := run(*name, *seed, *seconds, *trace); err != nil {
 		if !errors.Is(err, errIncorrect) {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)
 		}
@@ -120,10 +118,14 @@ type metricPayload struct {
 	Unit  string  `json:"unit"`
 }
 
-func run(name string, seed int64, seconds, trace, clients int, outDir string) error {
-	if seconds < 1 || (trace != 0 && trace != 1) || clients < 1 {
-		return fmt.Errorf("want --seconds >= 1, --trace 0|1, --clients >= 1")
+// recordDir holds one JSON record per run.
+var recordDir = filepath.Join(".bench_build", "perfbench-results")
+
+func run(name string, seed int64, seconds, trace int) error {
+	if seconds < 1 || (trace != 0 && trace != 1) {
+		return fmt.Errorf("want --seconds >= 1, --trace 0|1")
 	}
+	clients := runtime.NumCPU()
 	meta := runMeta(name, seed, seconds, trace, clients)
 	for _, kv := range meta {
 		fmt.Printf("meta %s=%s\n", kv[0], kv[1])
@@ -138,7 +140,8 @@ func run(name string, seed int64, seconds, trace, clients int, outDir string) er
 	for _, line := range inputs {
 		fmt.Printf("input %s\n", line)
 	}
-	fmt.Printf("info inputs_live_mib=%.2f\n", liveMiB())
+	inputsMiB := liveMiB()
+	fmt.Printf("info inputs_live_mib=%.2f\n", inputsMiB)
 
 	runs := setupRuns
 	if trace == 1 {
@@ -153,7 +156,11 @@ func run(name string, seed int64, seconds, trace, clients int, outDir string) er
 		setups = append(setups, d.Seconds())
 	}
 	fmt.Printf("info setup_runs_s=%s\n", strings.Trim(fmt.Sprintf("%.4f", setups), "[]"))
-	retained := liveMiB()
+	// retained_mb is the program's share of the live heap: the encoded
+	// inputs, held since generation, are taken out.
+	setupMiB := liveMiB()
+	fmt.Printf("info setup_live_mib=%.2f\n", setupMiB)
+	retained := setupMiB - inputsMiB
 
 	d := time.Duration(seconds) * time.Second
 	var figures []metric
@@ -188,7 +195,7 @@ func run(name string, seed int64, seconds, trace, clients int, outDir string) er
 		fmt.Printf("metric %s %.6g %s samples=%d\n", m.name, m.value, m.unit, m.samples)
 		res.Metrics[m.name] = metricPayload{m.value, m.unit}
 	}
-	if werr := writeRecord(outDir, name, seed, trace, meta, inputs, figures, spans, res); werr != nil {
+	if werr := writeRecord(recordDir, name, seed, trace, meta, inputs, figures, spans, res); werr != nil {
 		fmt.Fprintln(os.Stderr, "perfbench: run record not written:", werr)
 	}
 	line, jerr := json.Marshal(res)

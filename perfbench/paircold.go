@@ -49,8 +49,8 @@ type pairCold struct {
 	reqs    []pairInput
 	stats   []string
 
-	warm        *ccs.Checker // the set-up session's Checker, held for retained_mb
-	heapSamples []float64    // client 0's live heap at session starts, MiB
+	warm        []*ccs.Checker // set-up's Checkers, one per client, held for retained_mb
+	heapSamples []float64      // client 0's live heap at session starts, MiB
 }
 
 func newPairCold(seed int64, clients int) *pairCold {
@@ -147,22 +147,28 @@ func distribution(xs []int) string {
 
 func (w *pairCold) describe() []string { return w.stats }
 
-// start returns client id's first pool index: clients start spread over
-// the pool, so at any moment they work on different processes.
+// start returns client id's first pool index. Request i draws base
+// i%pairBases, so clients start spread over the bases, not the requests:
+// at any moment they work on different processes.
 func (w *pairCold) start(id int) int {
-	return id * (pairRequests / w.clients)
+	return id * (pairBases / w.clients)
 }
 
-// setup runs one session, so the runtime's heap and code paths are warm
-// and retained_mb sees a Checker holding a full session.
+// setup runs each client's first session on a Checker of its own, so the
+// runtime's heap and code paths are warm and retained_mb sees what the
+// timed loop holds: one Checker with a full session per client.
 func (w *pairCold) setup() (time.Duration, error) {
 	t0 := time.Now()
-	w.warm = ccs.NewChecker()
-	for i := 0; i < pairSessionLen; i++ {
-		in := &w.reqs[i]
-		if err := verifyReport(in.exp, w.warm.Do(context.Background(), in.req, nil)); err != nil {
-			return 0, err
+	w.warm = nil
+	for id := 0; id < w.clients; id++ {
+		c := ccs.NewChecker()
+		for i := 0; i < pairSessionLen; i++ {
+			in := &w.reqs[(w.start(id)+i)%pairRequests]
+			if err := verifyReport(in.exp, c.Do(context.Background(), in.req, nil)); err != nil {
+				return 0, err
+			}
 		}
+		w.warm = append(w.warm, c)
 	}
 	return time.Since(t0), nil
 }
