@@ -18,14 +18,16 @@ import (
 
 // ObservationCongruentStates reports p ≈ᶜ q for two states of f.
 func ObservationCongruentStates(f *fsp.FSP, p, q fsp.State, opts ...Option) (bool, error) {
-	weak, err := WeakPartition(f, opts...)
+	// One tau-closure serves both the saturation behind ≈ and the root
+	// condition's weak moves.
+	clo := fsp.TauClosure(f)
+	weak, err := weakPartitionWith(f, clo, opts)
 	if err != nil {
 		return false, fmt.Errorf("observation congruence: %w", err)
 	}
 	if f.Ext(p) != f.Ext(q) {
 		return false, nil
 	}
-	clo := fsp.TauClosure(f)
 	return rootMatch(f, clo, weak, p, q) && rootMatch(f, clo, weak, q, p), nil
 }
 

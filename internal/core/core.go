@@ -212,7 +212,13 @@ func StrongEquivalentIndexed(f, g *fsp.FSP, fi, gi *lts.Index, opts ...Option) (
 // observable FSP P-hat (weak derivatives for every observable action plus
 // the epsilon relation) and solve strong equivalence there.
 func WeakPartition(f *fsp.FSP, opts ...Option) (*partition.Partition, error) {
-	sat, _, err := fsp.Saturate(f)
+	return weakPartitionWith(f, fsp.TauClosure(f), opts)
+}
+
+// weakPartitionWith is WeakPartition for a caller that needs f's
+// tau-closure itself too, so it is computed once.
+func weakPartitionWith(f *fsp.FSP, clo fsp.Closure, opts []Option) (*partition.Partition, error) {
+	sat, _, err := fsp.SaturateWith(f, clo)
 	if err != nil {
 		return nil, fmt.Errorf("observational equivalence: %w", err)
 	}

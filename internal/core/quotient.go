@@ -62,11 +62,25 @@ func quotient(f *fsp.FSP, p *partition.Partition) (*fsp.FSP, []fsp.State, error)
 // derivatives that leave the class become tau-arcs. The result is
 // tau-minimal in the sense that tau arcs only connect distinct classes.
 func QuotientWeak(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
-	q, m, err := weakQuotient(f, "/≈", false, opts)
+	q, _, _, m, err := weakQuotient(f, "/≈", false, false, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("weak quotient: %w", err)
 	}
 	return q, m, nil
+}
+
+// QuotientWeakSaturated is QuotientWeak that also returns the quotient's
+// saturated form P-hat (Theorem 4.1(a)) and its epsilon action, for
+// callers that go on to decide ≈ on the quotient. The saturated form is
+// not recomputed: it is sat(f) collapsed along the ≈-partition, which
+// equals fsp.Saturate of the quotient because the partition is a strong
+// bisimulation on sat(f) — sat(f/≈) = sat(f)/≈.
+func QuotientWeakSaturated(f *fsp.FSP, opts ...Option) (q, sat *fsp.FSP, eps fsp.Action, err error) {
+	q, sat, eps, _, err = weakQuotient(f, "/≈", false, true, opts)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("weak quotient: %w", err)
+	}
+	return q, sat, eps, nil
 }
 
 // QuotientCongruence returns a process observation-congruent (≈ᶜ) to f.
@@ -87,15 +101,22 @@ func QuotientWeak(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
 // any equivalence coarser than ≈ᶜ — the soundness fact behind the
 // engine's minimize-then-compose pipeline.
 func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, error) {
-	q, m, err := weakQuotient(f, "/≈ᶜ", true, opts)
+	q, _, _, m, err := weakQuotient(f, "/≈ᶜ", true, false, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("congruence quotient: %w", err)
 	}
 	return q, m, nil
 }
 
-// weakQuotient collapses f along the ≈-partition of its states. With
-// rootFix set it additionally preserves observation congruence:
+// weakQuotient collapses f along the ≈-partition of its states. The
+// partition is a strong bisimulation on the saturated form sat(f), so one
+// representative per class gives each class's arcs in sat(f)/≈; the
+// quotient keeps their sigma arcs and turns their epsilon arcs that leave
+// the class into tau arcs. With withSat set, sat(f)/≈ is built as a
+// process first, the quotient is read off it, and it is returned too
+// (with the epsilon action): it is the saturation of the plain
+// ≈-quotient. Otherwise it is never built. With rootFix set the quotient
+// additionally preserves observation congruence:
 //
 //   - If the start state p0 has no direct tau into its own ≈-class, the
 //     plain quotient start Q0 already satisfies the root condition: every
@@ -116,11 +137,11 @@ func QuotientCongruence(f *fsp.FSP, opts ...Option) (*fsp.FSP, []fsp.State, erro
 //     arc into the root class C. p0's in-class tau is matched by
 //     r --tau--> C (members ≈ C), r's copied arcs are weak moves of p0's
 //     class, and r's extra tau is matched by p0's own in-class tau move.
-func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.FSP, []fsp.State, error) {
+func weakQuotient(f *fsp.FSP, suffix string, rootFix, withSat bool, opts []Option) (q, satQ *fsp.FSP, eps fsp.Action, mapping []fsp.State, err error) {
 	cfg := newConfig(opts)
 	sat, eps, err := fsp.Saturate(f)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, nil, err
 	}
 	p := StrongPartition(sat, opts...)
 
@@ -136,19 +157,11 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 	}
 	legacyRoot := rootTau && cfg.freshRoot
 
-	b := fsp.NewBuilderWith(f.Name()+suffix, f.Alphabet().Clone(), f.Vars().Clone())
-	b.AddStates(p.NumBlocks())
-	root := fsp.State(rootBlk)
-	if legacyRoot {
-		root = b.AddState()
-	}
-	b.SetStart(root)
-
 	reps := make([]fsp.State, p.NumBlocks())
 	for i := range reps {
 		reps[i] = fsp.None
 	}
-	mapping := make([]fsp.State, f.NumStates())
+	mapping = make([]fsp.State, f.NumStates())
 	for s := 0; s < f.NumStates(); s++ {
 		blk := p.Block(int32(s))
 		mapping[s] = fsp.State(blk)
@@ -156,32 +169,78 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 			reps[blk] = fsp.State(s)
 		}
 	}
-	emit := func(at fsp.State, rep fsp.State, ownBlk fsp.State) {
-		for _, a := range sat.Arcs(rep) {
-			toBlk := fsp.State(p.Block(int32(a.To)))
-			if a.Act == eps {
-				// Weak epsilon derivative: a tau edge in the quotient, but
-				// only when it leaves the class (self tau loops are
-				// observationally vacuous).
-				if toBlk != ownBlk {
-					b.Arc(at, fsp.Tau, toBlk)
-				}
-				continue
-			}
-			b.ArcName(at, sat.Alphabet().Name(a.Act), toBlk)
+
+	// classArcs returns class blk's arcs in sat(f)/≈: read from satQ once
+	// it is built, else collapsed from the representative's sat(f) row
+	// into a reused buffer (Build drops the duplicates the collapse makes).
+	var row []fsp.Arc
+	classArcs := func(blk fsp.State) []fsp.Arc {
+		if satQ != nil {
+			return satQ.Arcs(blk)
 		}
-		for _, id := range f.Ext(rep).IDs() {
-			b.Extend(at, f.Vars().Name(id))
+		row = row[:0]
+		for _, a := range sat.Arcs(reps[blk]) {
+			row = append(row, fsp.Arc{Act: a.Act, To: fsp.State(p.Block(int32(a.To)))})
+		}
+		return row
+	}
+	// Both outputs share one variable table (cloned from f, so ids carry
+	// over); the saturated alphabet is sat's own private clone.
+	vars := f.Vars().Clone()
+	if withSat {
+		sb := fsp.NewBuilderWith(f.Name()+suffix+"^", sat.Alphabet(), vars)
+		sb.AddStates(p.NumBlocks())
+		sb.SetStart(fsp.State(rootBlk))
+		for blk, rep := range reps {
+			for _, a := range classArcs(fsp.State(blk)) {
+				sb.Arc(fsp.State(blk), a.Act, a.To)
+			}
+			for _, id := range f.Ext(rep).IDs() {
+				sb.Extend(fsp.State(blk), vars.Name(id))
+			}
+		}
+		if satQ, err = sb.Build(); err != nil {
+			return nil, nil, 0, nil, err
 		}
 	}
-	for blk, rep := range reps {
-		emit(fsp.State(blk), rep, fsp.State(blk))
+
+	b := fsp.NewBuilderWith(f.Name()+suffix, f.Alphabet().Clone(), vars)
+	b.AddStates(p.NumBlocks())
+	root := fsp.State(rootBlk)
+	if legacyRoot {
+		root = b.AddState()
+	}
+	b.SetStart(root)
+	// emit gives state at the arcs of class blk. Epsilon is the highest
+	// action, so the tau arcs are written first to keep (Act, To) order
+	// when the class's arcs are sorted.
+	emit := func(at, blk fsp.State) {
+		arcs := classArcs(blk)
+		for _, a := range arcs {
+			// Weak epsilon derivatives become tau edges, but only when
+			// they leave the class (self tau loops are observationally
+			// vacuous).
+			if a.Act == eps && a.To != blk {
+				b.Arc(at, fsp.Tau, a.To)
+			}
+		}
+		for _, a := range arcs {
+			if a.Act != eps {
+				b.Arc(at, a.Act, a.To)
+			}
+		}
+		for _, id := range f.Ext(reps[blk]).IDs() {
+			b.Extend(at, vars.Name(id))
+		}
+	}
+	for blk := range reps {
+		emit(fsp.State(blk), fsp.State(blk))
 	}
 	switch {
 	case legacyRoot:
 		// The fresh root duplicates the root class's arcs (dropping the
 		// same in-class epsilons) and adds the explicit tau into it.
-		emit(root, reps[rootBlk], fsp.State(rootBlk))
+		emit(root, fsp.State(rootBlk))
 		b.Arc(root, fsp.Tau, fsp.State(rootBlk))
 	case rootTau:
 		// Minimal form: the self-loop restores the root condition in
@@ -189,9 +248,8 @@ func weakQuotient(f *fsp.FSP, suffix string, rootFix bool, opts []Option) (*fsp.
 		// so this is the root class's only tau back to itself.
 		b.Arc(root, fsp.Tau, root)
 	}
-	q, err := b.Build()
-	if err != nil {
-		return nil, nil, err
+	if q, err = b.Build(); err != nil {
+		return nil, nil, 0, nil, err
 	}
-	return q, mapping, nil
+	return q, satQ, eps, mapping, nil
 }

@@ -17,6 +17,12 @@
 //     so a cached process is never re-flattened into an edge list. The one
 //     exception is Failure, which runs on the originals so that the
 //     restrictedness validation of the one-shot checker is preserved.
+//     A process is saturated once per weak check: the ≈-quotient's P-hat,
+//     which the weak relations solve on, is not computed by saturating the
+//     quotient but comes with it from core.QuotientWeakSaturated — the
+//     saturation of p that the ≈-partition was computed on, collapsed
+//     along that partition (sat(p/≈) = sat(p)/≈) — and seeds the
+//     quotient's Saturated record.
 //
 //   - Batch fan-out. CheckAll spreads a list of (p, q, relation) queries
 //     over a worker pool with context.Context cancellation, returning
@@ -24,8 +30,11 @@
 //
 // Processes are immutable (see fsp.FSP), so the cache is keyed by pointer
 // identity first, with a structural-hash fallback (fsp.Fingerprint /
-// fsp.StructuralEqual): parsing the same process text twice yields two
-// pointers but one set of cached artifacts.
+// fsp.StructuralEqual) for processes that callers supply: parsing the same
+// process text twice yields two pointers but one set of cached artifacts.
+// The quotients and saturated forms the engine derives itself are
+// registered under their pointers only, never fingerprinted; their store
+// keys are hashed lazily, when a store is attached.
 //
 // The engine is also network-aware: CheckNetwork decides queries about a
 // compose.Network by the minimize-then-compose pipeline — each component
@@ -129,10 +138,10 @@ type Checker struct {
 	opts []core.Option
 	st   *store.Store // optional persistent tier; nil means memory-only
 
-	mu        sync.Mutex
-	procs     map[*fsp.FSP]*artifacts
-	byHash    map[uint64][]*artifacts
-	canonical int
+	mu      sync.Mutex
+	procs   map[*fsp.FSP]*artifacts
+	byHash  map[uint64][]*artifacts
+	records int // distinct records in procs; the rest are aliases
 }
 
 // New returns an empty Checker. Options (e.g. core.WithAlgorithm) are
@@ -173,12 +182,19 @@ func (c *Checker) StoreStats() (s store.Stats, ok bool) {
 type artifacts struct {
 	f *fsp.FSP
 
-	// fp is the structural fingerprint (the store key), computed when the
-	// record is created; fp2 is the independent collision-guard hash,
-	// derived lazily because it is only needed when a store is attached.
-	fp      uint64
-	fp2Once sync.Once
-	fp2     uint64
+	// derived marks a record for a quotient or saturated form the engine
+	// produced itself (see adopt): it is keyed by pointer only, never
+	// fingerprinted for deduplication.
+	derived bool
+
+	// fp is the structural fingerprint (the store key) and fp2 the
+	// independent collision-guard hash. A caller-supplied process's fp is
+	// computed when its record is created, for structural deduplication;
+	// the rest is derived lazily by keys, only for records that talk to
+	// the store.
+	fp       uint64
+	keysOnce sync.Once
+	fp2      uint64
 
 	closureOnce sync.Once
 	closure     fsp.Closure
@@ -205,7 +221,7 @@ type artifacts struct {
 }
 
 // aliasHighWater bounds the pointer-alias entries of c.procs: beyond
-// canonical records plus this many aliases, the alias entries are pruned.
+// distinct records plus this many aliases, the alias entries are pruned.
 // Without the bound, a loop composing the same network forever would
 // retain every abandoned composed FSP as a permanent map key; with it, a
 // pruned alias merely pays one re-fingerprint on its next use.
@@ -241,7 +257,24 @@ func (c *Checker) art(p *fsp.FSP) *artifacts {
 	a := &artifacts{f: p, fp: h}
 	c.procs[p] = a
 	c.byHash[h] = append(c.byHash[h], a)
-	c.canonical++
+	c.records++
+	return a
+}
+
+// adopt registers a quotient or saturated form the engine derived itself
+// under its pointer, without fingerprinting it: the engine hands these
+// pointers back to its own accessors (Index, Saturated), so a pointer
+// lookup always finds them, and structural deduplication would only pay
+// a hash per artifact. Its store key is computed lazily by keys.
+func (c *Checker) adopt(p *fsp.FSP) *artifacts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if a, ok := c.procs[p]; ok {
+		return a
+	}
+	a := &artifacts{f: p, derived: true}
+	c.procs[p] = a
+	c.records++
 	return a
 }
 
@@ -249,7 +282,7 @@ func (c *Checker) art(p *fsp.FSP) *artifacts {
 // pruning all alias entries first when they exceed the high-water mark.
 // Called with c.mu held.
 func (c *Checker) aliasInsert(p *fsp.FSP, a *artifacts) {
-	if len(c.procs) >= c.canonical+aliasHighWater {
+	if len(c.procs) >= c.records+aliasHighWater {
 		for k, rec := range c.procs {
 			if k != rec.f {
 				delete(c.procs, k)
@@ -259,19 +292,29 @@ func (c *Checker) aliasInsert(p *fsp.FSP, a *artifacts) {
 	c.procs[p] = a
 }
 
-// Processes reports how many structurally distinct processes the cache has
-// seen (pointer aliases of the same structure count once).
+// Processes reports how many artifact records the cache holds: one per
+// structurally distinct process a caller supplied (pointer aliases of the
+// same structure count once), plus one per quotient or saturated form the
+// engine derived and registered under its own pointer (see adopt). A
+// derived form counts even when it happens to be structurally equal to
+// another record, since derived forms are never fingerprinted to find out.
 func (c *Checker) Processes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.canonical
+	return c.records
 }
 
 // keys returns the store key (the structural fingerprint) and the
-// collision-guard fingerprint of a's process, deriving the second hash
-// lazily: it is only paid on records that actually talk to the store.
+// collision-guard fingerprint of a's process, deriving what is not yet
+// known lazily: it is only paid on records that actually talk to the
+// store.
 func (c *Checker) keys(a *artifacts) (fp, fp2 uint64) {
-	a.fp2Once.Do(func() { a.fp2 = fsp.Fingerprint2(a.f) })
+	a.keysOnce.Do(func() {
+		if a.derived {
+			a.fp = fsp.Fingerprint(a.f)
+		}
+		a.fp2 = fsp.Fingerprint2(a.f)
+	})
 	return a.fp, a.fp2
 }
 
@@ -328,34 +371,44 @@ func (c *Checker) Index(p *fsp.FSP) *lts.Index {
 // together with its epsilon action. It builds on the memoized tau-closure,
 // so Closure and Saturated share one closure computation. With a store
 // attached, a warm hit skips both the closure and the saturation; the
-// epsilon action is recovered from the stored form's own alphabet.
+// epsilon action is recovered from the stored form's own alphabet. A
+// ≈-quotient derived by WeakQuotient arrives with its saturated form
+// already seeded, so neither is computed for it.
 func (c *Checker) Saturated(p *fsp.FSP) (*fsp.FSP, fsp.Action, error) {
 	a := c.art(p)
 	amSat.req.Inc()
 	a.satOnce.Do(func() {
 		defer derivationGuard(&a.satErr)
-		if c.st != nil {
-			fp, fp2 := c.keys(a)
-			if sat, ok := c.st.GetFSP(fp, fp2, store.KindSaturated); ok {
-				if eps, ok := sat.Alphabet().Lookup(fsp.EpsilonName); ok {
-					a.sat, a.satEps = sat, eps
-					amSat.storeHit.Inc()
-					return
-				}
-				// A saturated form without epsilon is not one; fall
-				// through and rebuild (the entry ages out via the LRU).
-			}
-			amSat.derived.Inc()
-			a.sat, a.satEps, a.satErr = fsp.SaturateWith(p, c.Closure(p))
-			if a.satErr == nil {
-				c.st.PutFSP(fp, fp2, store.KindSaturated, a.sat)
-			}
-			return
+		a.sat, a.satEps, a.satErr = c.saturate(a)
+		if a.satErr == nil {
+			c.adopt(a.sat)
 		}
-		amSat.derived.Inc()
-		a.sat, a.satEps, a.satErr = fsp.SaturateWith(p, c.Closure(p))
 	})
 	return a.sat, a.satEps, a.satErr
+}
+
+// saturate is Saturated's derivation: the store tier when attached, else
+// (or on a miss) the saturation over the memoized closure.
+func (c *Checker) saturate(a *artifacts) (*fsp.FSP, fsp.Action, error) {
+	if c.st == nil {
+		amSat.derived.Inc()
+		return fsp.SaturateWith(a.f, c.Closure(a.f))
+	}
+	fp, fp2 := c.keys(a)
+	if sat, ok := c.st.GetFSP(fp, fp2, store.KindSaturated); ok {
+		if eps, ok := sat.Alphabet().Lookup(fsp.EpsilonName); ok {
+			amSat.storeHit.Inc()
+			return sat, eps, nil
+		}
+		// A saturated form without epsilon is not one; fall through and
+		// rebuild (the entry ages out via the LRU).
+	}
+	amSat.derived.Inc()
+	sat, eps, err := fsp.SaturateWith(a.f, c.Closure(a.f))
+	if err == nil {
+		c.st.PutFSP(fp, fp2, store.KindSaturated, sat)
+	}
+	return sat, eps, err
 }
 
 // quotient is the common store-tier shape of the three quotient accessors:
@@ -388,19 +441,45 @@ func (c *Checker) StrongQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 			min, _, err := core.QuotientStrong(p, c.opts...)
 			return min, err
 		})
+		if a.strongErr == nil {
+			c.adopt(a.strongMin)
+		}
 	})
 	return a.strongMin, a.strongErr
 }
 
-// WeakQuotient returns the memoized canonical quotient of p modulo ≈.
+// WeakQuotient returns the memoized canonical quotient of p modulo ≈. A
+// fresh derivation also yields the quotient's saturated form P-hat (core
+// collapses sat(p) along the ≈-partition, which equals saturating the
+// quotient), and that form seeds the quotient's Saturated record — and is
+// spilled to the store, when one is attached — so a weak check saturates
+// each process once, not once more for its quotient.
 func (c *Checker) WeakQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 	a := c.art(p)
 	amWeak.req.Inc()
 	a.weakOnce.Do(func() {
 		defer derivationGuard(&a.weakErr)
+		var sat *fsp.FSP
+		var eps fsp.Action
 		a.weakMin, a.weakErr = c.quotient(a, store.KindWeakMin, amWeak, func() (*fsp.FSP, error) {
-			min, _, err := core.QuotientWeak(p, c.opts...)
+			min, s, e, err := core.QuotientWeakSaturated(p, c.opts...)
+			sat, eps = s, e
 			return min, err
+		})
+		if a.weakErr != nil {
+			return
+		}
+		m := c.adopt(a.weakMin)
+		if sat == nil { // read from the store: Saturated consults it too
+			return
+		}
+		m.satOnce.Do(func() {
+			m.sat, m.satEps = sat, eps
+			c.adopt(sat)
+			if c.st != nil {
+				fp, fp2 := c.keys(m)
+				c.st.PutFSP(fp, fp2, store.KindSaturated, sat)
+			}
 		})
 	})
 	return a.weakMin, a.weakErr
@@ -422,6 +501,9 @@ func (c *Checker) CongruenceQuotient(p *fsp.FSP) (*fsp.FSP, error) {
 			min, _, err := core.QuotientCongruence(p, c.opts...)
 			return min, err
 		})
+		if a.congErr == nil {
+			c.adopt(a.congMin)
+		}
 	})
 	return a.congMin, a.congErr
 }

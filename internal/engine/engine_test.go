@@ -178,8 +178,11 @@ func TestArtifactsMemoized(t *testing.T) {
 	if m1 != m2 {
 		t.Error("WeakQuotient must return the memoized artifact")
 	}
-	if got := c.Processes(); got != 1 {
-		t.Errorf("Processes = %d, want 1", got)
+	// Records: p, the saturated form Saturated derived for it, p's
+	// ≈-quotient, and the quotient's saturated form, seeded by
+	// WeakQuotient. Repeated calls add none.
+	if got := c.Processes(); got != 4 {
+		t.Errorf("Processes = %d, want 4", got)
 	}
 }
 

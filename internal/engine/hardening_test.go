@@ -95,16 +95,20 @@ func TestStructuralCacheSharing(t *testing.T) {
 	if _, err := c.Check(ctx, Query{P: p1, Q: other, Rel: Weak}); err != nil {
 		t.Fatal(err)
 	}
+	// Six records: the chain and `other`, their two ≈-quotients, and the
+	// quotients' two saturated forms (derived forms are registered under
+	// their own pointers).
+	if got := c.Processes(); got != 6 {
+		t.Errorf("cache holds %d records after the first check, want 6", got)
+	}
 	if _, err := c.Check(ctx, Query{P: p2, Q: other, Rel: Weak}); err != nil {
 		t.Fatal(err)
 	}
-	// p1 and p2 are structurally one process: the cache must hold exactly
-	// four canonical records — the chain, `other`, and their two
-	// ≈-quotients (quotients enter the cache when the pair check indexes
-	// them). Without structural sharing the chain and its artifacts would
-	// be derived twice.
-	if got := c.Processes(); got != 4 {
-		t.Errorf("cache holds %d canonical processes, want 4 (structural sharing)", got)
+	// p1 and p2 are structurally one process: the second check must map
+	// p2 onto the chain's record and add none. Without structural sharing
+	// the chain and its artifacts would be derived twice.
+	if got := c.Processes(); got != 6 {
+		t.Errorf("cache holds %d records, want 6 (structural sharing)", got)
 	}
 	// And the shared record really carries the artifacts: deriving via p2
 	// must return the identical quotient pointer computed via p1.

@@ -60,19 +60,21 @@ func TestCheckNetworkComponentReuse(t *testing.T) {
 	if !eq {
 		t.Fatal("relay-4 not ≈ counter-4")
 	}
-	// Canonical records: the shared cell (its four instances collapse to
-	// one record), the composed minimized product, the spec, and the
-	// shared ≈-quotient — product and spec are both ≈-minimal to the same
-	// 5-state counter, so structural interning stores that quotient once.
-	if got := c.Processes(); got != 4 {
-		t.Errorf("cache holds %d canonical processes, want 4 (cell, product, spec, shared quotient)", got)
+	// Records: the shared cell (its four instances collapse to one
+	// record) and its ≈ᶜ-quotient, the composed minimized product, the
+	// spec, and the ≈-quotients of product and spec with their seeded
+	// saturated forms. The two ≈-quotients are structurally the same
+	// 5-state counter, but derived forms are registered by pointer, never
+	// fingerprinted, so each counts.
+	if got := c.Processes(); got != 8 {
+		t.Errorf("cache holds %d records, want 8 (cell and its quotient, product, spec, two quotients and their saturations)", got)
 	}
 	// A second identical check recomposes the product, but structural
 	// interning maps it onto the cached record: no growth.
 	if _, err := c.CheckNetwork(ctx, net, spec, Weak, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Processes(); got != 4 {
+	if got := c.Processes(); got != 8 {
 		t.Errorf("repeat check grew the cache to %d records", got)
 	}
 }

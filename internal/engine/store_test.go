@@ -208,3 +208,67 @@ func TestStoreTierSurvivesCorruption(t *testing.T) {
 		t.Fatalf("corrupt entries were not treated as misses: %+v", stats)
 	}
 }
+
+// TestSeededSaturationSurvivesRestart: a cold weak check derives each
+// ≈-quotient's saturated form together with the quotient and spills it;
+// a restarted Checker on the same directory reads both back and saturates
+// nothing. The saturation counters are process-wide, so the test reads
+// deltas and must not run in parallel with other engine tests.
+func TestSeededSaturationSurvivesRestart(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := gen.Random(rng, 20, 60, 2, 0.4)
+	q := gen.Random(rng, 20, 60, 2, 0.4)
+	query := Query{P: p, Q: q, Rel: Weak}
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	derived0 := amSat.derived.Value()
+	cold := NewWithStore(openTestStore(t, dir))
+	want, err := cold.Check(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := amSat.derived.Value() - derived0; n != 0 {
+		t.Fatalf("cold check saturated %d quotients again; the seeded forms should serve", n)
+	}
+
+	warm := NewWithStore(openTestStore(t, dir))
+	derived0, hits0 := amSat.derived.Value(), amSat.storeHit.Value()
+	got, err := warm.Check(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("verdict changed across the restart: got %v want %v", got, want)
+	}
+	if n := amSat.derived.Value() - derived0; n != 0 {
+		t.Fatalf("warm check re-derived %d saturated quotients", n)
+	}
+	if n := amSat.storeHit.Value() - hits0; n != 2 {
+		t.Fatalf("warm check read %d saturated quotients from the store, want 2", n)
+	}
+	if st, _ := warm.StoreStats(); st.Misses > 0 || st.Writes > 0 {
+		t.Fatalf("warm check was not served from the store: %+v", st)
+	}
+	for _, f := range []*fsp.FSP{p, q} {
+		coldMin, err := cold.WeakQuotient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmMin, err := warm.WeakQuotient(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldSat, _, err := cold.Saturated(coldMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmSat, eps, err := warm.Saturated(warmMin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fsp.StructuralEqual(coldSat, warmSat) || warmSat.Alphabet().Name(eps) != fsp.EpsilonName {
+			t.Fatal("saturated quotient read back differs from the seeded one")
+		}
+	}
+}

@@ -3,6 +3,7 @@ package fsp
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Action identifies an action symbol of an FSP. Action 0 is always Tau, the
@@ -43,11 +44,14 @@ func NewAlphabet(actions ...string) *Alphabet {
 }
 
 // Intern returns the Action for name, adding it to the alphabet if absent.
-// Interning "tau" returns Tau.
+// Interning "tau" returns Tau. A new name is copied, so the alphabet never
+// pins a larger string the name was sliced from (ParseString hands in
+// substrings of its whole input).
 func (a *Alphabet) Intern(name string) Action {
 	if act, ok := a.index[name]; ok {
 		return act
 	}
+	name = strings.Clone(name)
 	act := Action(len(a.names))
 	a.names = append(a.names, name)
 	a.index[name] = act

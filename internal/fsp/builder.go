@@ -3,6 +3,7 @@ package fsp
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Builder incrementally constructs an FSP. The zero value is not usable;
@@ -123,7 +124,10 @@ func (b *Builder) ArcSnapshot(s State) []Arc {
 // Err returns the first error recorded by the fluent methods, if any.
 func (b *Builder) Err() error { return b.err }
 
-// Build validates and freezes the FSP. Arcs are deduplicated and sorted.
+// Build validates and freezes the FSP. Arcs are sorted by (Act, To) —
+// skipped for a state whose arcs were added in that order — deduplicated,
+// and packed into one exact-size slab, so the FSP keeps none of the
+// builder's spare append capacity.
 func (b *Builder) Build() (*FSP, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -135,9 +139,10 @@ func (b *Builder) Build() (*FSP, error) {
 		b.start = 0
 	}
 	numTrans := 0
-	for s := range b.adj {
-		arcs := b.adj[s]
-		sortArcs(arcs)
+	for s, arcs := range b.adj {
+		if !arcsSorted(arcs) {
+			slices.SortFunc(arcs, compareArcs)
+		}
 		// Deduplicate in place: Delta is a set.
 		w := 0
 		for i, a := range arcs {
@@ -148,6 +153,13 @@ func (b *Builder) Build() (*FSP, error) {
 		}
 		b.adj[s] = arcs[:w]
 		numTrans += w
+	}
+	slab := make([]Arc, numTrans)
+	off := 0
+	for s, arcs := range b.adj {
+		end := off + copy(slab[off:], arcs)
+		b.adj[s] = slab[off:end:end]
+		off = end
 	}
 	return &FSP{
 		name:     b.name,

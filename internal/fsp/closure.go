@@ -42,8 +42,7 @@ func (c Closure) orInto(acc bitRow, s State) {
 
 // TauClosure computes the tau-closure by a BFS from every state over the
 // tau-labelled subgraph. This replaces the paper's matrix-multiplication
-// transitive closure (O(n^2.376)) with an O(n(n+m)) sparse traversal; see
-// DESIGN.md section 4.
+// transitive closure (O(n^2.376)) with an O(n(n+m)) sparse traversal.
 //
 // DESIGN (bitset closure): each non-trivial closure set is a bitRow over
 // the state universe, all rows carved from a single backing slab sized by
@@ -286,20 +285,23 @@ func SaturateWith(f *FSP, clo Closure) (*FSP, Action, error) {
 	// each weak derivative set is built by OR-ing closure rows.
 	acc := newBitRow(n)
 	var dests []State
+	// Arcs are emitted in (Act, To) order — observables ascending, then
+	// epsilon, the newest and so highest action — so Build need not sort.
+	observable := f.alphabet.Observable()
 	for s := 0; s < n; s++ {
-		// Epsilon arcs: the closure itself (reflexive, so every state has
-		// at least the self-loop).
-		for _, t := range clo.Of(State(s)) {
-			b.Arc(State(s), eps, t)
-		}
 		// For each observable sigma: closure(s) --sigma--> then closure.
-		for _, sigma := range f.alphabet.Observable() {
+		for _, sigma := range observable {
 			acc.clear()
 			clo.weakDestFrom(f, State(s), sigma, acc)
 			dests = acc.appendStates(dests[:0])
 			for _, d := range dests {
 				b.Arc(State(s), sigma, d)
 			}
+		}
+		// Epsilon arcs: the closure itself (reflexive, so every state has
+		// at least the self-loop).
+		for _, t := range clo.Of(State(s)) {
+			b.Arc(State(s), eps, t)
 		}
 	}
 	out, err := b.Build()

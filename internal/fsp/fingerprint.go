@@ -1,8 +1,9 @@
 package fsp
 
 import (
-	"hash/fnv"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 )
 
 // This file defines structural identity of FSPs: two processes are
@@ -12,40 +13,59 @@ import (
 // The engine's artifact cache uses Fingerprint as a hash key and
 // StructuralEqual to confirm, so parsing the same process text twice (two
 // distinct *FSP pointers) still shares one set of cached artifacts.
+//
+// Both walk each state's arcs in (action name, target) order. Names are
+// ranked once per call — rank r is the r-th name in sorted order — so a
+// state's arcs become (rank, target) keys that are sorted only when the
+// interning order disagrees with the name order, and extensions become
+// rank bitmasks that enumerate in name order without sorting.
 
-// namedArc is an arc with its action resolved to a name, the
-// interning-order-independent form both functions canonicalize through.
-type namedArc struct {
-	name string
-	to   State
+// ranks maps interned ids to name ranks and back for one name table.
+type ranks struct {
+	rank  []int32  // rank[id]
+	names []string // names[rank]
 }
 
-// namedArcs returns s's arcs as (action name, target) pairs sorted by
-// (name, target). The per-state arc order of an FSP is (Action id, To),
-// and ids depend on interning order, so the name sort is what makes two
-// independently built copies comparable.
-func namedArcs(f *FSP, s State, buf []namedArc) []namedArc {
+func rankNames(names []string) ranks {
+	order := make([]int32, len(names))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return strings.Compare(names[x], names[y]) })
+	r := ranks{rank: make([]int32, len(names)), names: make([]string, len(names))}
+	for k, id := range order {
+		r.rank[id] = int32(k)
+		r.names[k] = names[id]
+	}
+	return r
+}
+
+// arcKeys returns s's arcs as (rank << 32 | target) keys in ascending
+// order: the (name, target) order, since ranks follow names.
+func arcKeys(f *FSP, act ranks, s State, buf []uint64) []uint64 {
 	buf = buf[:0]
+	sorted := true
 	for _, a := range f.adj[s] {
-		buf = append(buf, namedArc{name: f.alphabet.Name(a.Act), to: a.To})
-	}
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].name != buf[j].name {
-			return buf[i].name < buf[j].name
+		k := uint64(act.rank[a.Act])<<32 | uint64(a.To)
+		if len(buf) > 0 && k < buf[len(buf)-1] {
+			sorted = false
 		}
-		return buf[i].to < buf[j].to
-	})
+		buf = append(buf, k)
+	}
+	if !sorted {
+		slices.Sort(buf)
+	}
 	return buf
 }
 
-// extNames returns the extension variable names of s, sorted.
-func extNames(f *FSP, s State, buf []string) []string {
-	buf = buf[:0]
-	for _, id := range f.ext[s].IDs() {
-		buf = append(buf, f.vars.Name(id))
+// extRanks returns the extension of s as a bitmask over variable ranks;
+// ascending bits enumerate its names in sorted order.
+func extRanks(f *FSP, vars ranks, s State) uint64 {
+	var m uint64
+	for e := uint64(f.ext[s]); e != 0; e &= e - 1 {
+		m |= 1 << uint(vars.rank[bits.TrailingZeros64(e)])
 	}
-	sort.Strings(buf)
-	return buf
+	return m
 }
 
 // Fingerprint returns a structural hash of f: equal for structurally equal
@@ -62,41 +82,58 @@ func Fingerprint(f *FSP) uint64 { return fingerprint(f, 0) }
 // yielding someone else's artifact.
 func Fingerprint2(f *FSP) uint64 { return fingerprint(f, 0x9e3779b97f4a7c15) }
 
+// fnv64a is an inline 64-bit FNV-1a state, byte for byte what hash/fnv's
+// New64a computes.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+// word hashes v as 8 little-endian bytes.
+func (h fnv64a) word(v uint64) fnv64a {
+	for i := 0; i < 8; i++ {
+		h = (h ^ fnv64a(byte(v))) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// name hashes s followed by a 0 terminator.
+func (h fnv64a) name(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64a(s[i])) * fnvPrime64
+	}
+	return h * fnvPrime64 // h ^ 0 == h
+}
+
+// fingerprint hashes the canonical walk: optional seed word, state count,
+// start, then per state the arc count and each arc's name and target, and
+// the extension size and each variable name, arcs and names in name order.
 func fingerprint(f *FSP, seed uint64) uint64 {
-	h := fnv.New64a()
+	h := fnvOffset64
 	if seed != 0 {
-		var s [8]byte
-		for i := range s {
-			s[i] = byte(seed >> (8 * i))
-		}
-		h.Write(s[:])
+		h = h.word(seed)
 	}
-	var word [8]byte
-	writeInt := func(v int) {
-		word[0], word[1], word[2], word[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		word[4], word[5], word[6], word[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-		h.Write(word[:])
-	}
-	writeInt(f.NumStates())
-	writeInt(int(f.start))
-	var arcs []namedArc
-	var exts []string
-	for s := 0; s < f.NumStates(); s++ {
-		arcs = namedArcs(f, State(s), arcs)
-		writeInt(len(arcs))
-		for _, a := range arcs {
-			h.Write([]byte(a.name))
-			h.Write([]byte{0})
-			writeInt(int(a.to))
+	h = h.word(uint64(f.NumStates()))
+	h = h.word(uint64(f.start))
+	act, vars := rankNames(f.alphabet.names), rankNames(f.vars.names)
+	var keys []uint64
+	for s := range f.adj {
+		keys = arcKeys(f, act, State(s), keys)
+		h = h.word(uint64(len(keys)))
+		for _, k := range keys {
+			h = h.name(act.names[k>>32])
+			h = h.word(k & 0xffffffff)
 		}
-		exts = extNames(f, State(s), exts)
-		writeInt(len(exts))
-		for _, nm := range exts {
-			h.Write([]byte(nm))
-			h.Write([]byte{0})
+		m := extRanks(f, vars, State(s))
+		h = h.word(uint64(bits.OnesCount64(m)))
+		for ; m != 0; m &= m - 1 {
+			h = h.name(vars.names[bits.TrailingZeros64(m)])
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // StructuralEqual reports whether f and g are the same process up to
@@ -112,29 +149,51 @@ func StructuralEqual(f, g *FSP) bool {
 	if f.NumStates() != g.NumStates() || f.start != g.start {
 		return false
 	}
-	var fa, ga []namedArc
-	var fe, ge []string
-	for s := 0; s < f.NumStates(); s++ {
-		fa = namedArcs(f, State(s), fa)
-		ga = namedArcs(g, State(s), ga)
-		if len(fa) != len(ga) {
+	// Rank both tables by name; an f rank maps onto the g rank of the
+	// same name, or -1 when g lacks the name. f's keys translated this
+	// way stay in ascending order, so sorted key lists compare directly.
+	fa, ga := rankNames(f.alphabet.names), rankNames(g.alphabet.names)
+	actTo := translate(fa, g.alphabet.index)
+	fv := rankNames(f.vars.names)
+	varTo := translate(fv, g.vars.index)
+	var fk, gk []uint64
+	for s := range f.adj {
+		fk = arcKeys(f, fa, State(s), fk)
+		gk = arcKeys(g, ga, State(s), gk)
+		if len(fk) != len(gk) {
 			return false
 		}
-		for i := range fa {
-			if fa[i] != ga[i] {
+		for i, k := range fk {
+			id := actTo[k>>32]
+			if id < 0 || uint64(ga.rank[id])<<32|k&0xffffffff != gk[i] {
 				return false
 			}
 		}
-		fe = extNames(f, State(s), fe)
-		ge = extNames(g, State(s), ge)
-		if len(fe) != len(ge) {
-			return false
-		}
-		for i := range fe {
-			if fe[i] != ge[i] {
+		// The same names, as g ids, must form g's extension.
+		var want VarSet
+		for m := extRanks(f, fv, State(s)); m != 0; m &= m - 1 {
+			id := varTo[bits.TrailingZeros64(m)]
+			if id < 0 {
 				return false
 			}
+			want = want.With(VarID(id))
+		}
+		if want != g.ext[s] {
+			return false
 		}
 	}
 	return true
+}
+
+// translate maps each rank of r onto the id the same name has in index,
+// or -1 when index lacks it.
+func translate[T ~int32](r ranks, index map[string]T) []int32 {
+	out := make([]int32, len(r.names))
+	for k, nm := range r.names {
+		out[k] = -1
+		if id, ok := index[nm]; ok {
+			out[k] = int32(id)
+		}
+	}
+	return out
 }

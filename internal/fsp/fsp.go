@@ -16,6 +16,7 @@
 package fsp
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -181,12 +182,21 @@ func (f *FSP) String() string {
 	return fmt.Sprintf("%s(states=%d, trans=%d, start=%d)", name, len(f.adj), f.numTrans, f.start)
 }
 
-// sortArcs establishes the canonical (Act, To) order used by Dest/HasArc.
-func sortArcs(arcs []Arc) {
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].Act != arcs[j].Act {
-			return arcs[i].Act < arcs[j].Act
+// compareArcs is the canonical (Act, To) order used by Dest/HasArc.
+func compareArcs(x, y Arc) int {
+	if c := cmp.Compare(x.Act, y.Act); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.To, y.To)
+}
+
+// arcsSorted reports whether arcs are already in (Act, To) order, ties
+// (duplicates) allowed.
+func arcsSorted(arcs []Arc) bool {
+	for i := 1; i < len(arcs); i++ {
+		if compareArcs(arcs[i-1], arcs[i]) > 0 {
+			return false
 		}
-		return arcs[i].To < arcs[j].To
-	})
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package fsp
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,28 @@ func TestDOT(t *testing.T) {
 	for _, want := range []string{"digraph", "doublecircle", "style=dashed", "s0 -> s1"} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, dot)
+		}
+	}
+}
+
+// TestParseLongLine: a line of maxLineBytes bytes or more (a '\r'
+// before the newline counts) fails with bufio.ErrTooLong; one byte
+// shorter parses, with or without a final newline.
+func TestParseLongLine(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		nl      string
+		tooLong bool
+	}{
+		{maxLineBytes - 1, "", false},
+		{maxLineBytes - 1, "\n", false},
+		{maxLineBytes - 1, "\r\n", true},
+		{maxLineBytes, "", true},
+		{maxLineBytes, "\n", true},
+	} {
+		_, err := ParseString("states 1\n#" + strings.Repeat("x", tc.n-1) + tc.nl)
+		if tc.tooLong != errors.Is(err, bufio.ErrTooLong) || (!tc.tooLong && err != nil) {
+			t.Errorf("line of %d bytes + %q: error %v, want too long = %v", tc.n, tc.nl, err, tc.tooLong)
 		}
 	}
 }

@@ -46,7 +46,8 @@ func MustVarTable(vars ...string) *VarTable {
 	return t
 }
 
-// Intern returns the VarID for name, adding it if absent.
+// Intern returns the VarID for name, adding it if absent. Like
+// Alphabet.Intern it copies a new name.
 func (t *VarTable) Intern(name string) (VarID, error) {
 	if id, ok := t.index[name]; ok {
 		return id, nil
@@ -54,6 +55,7 @@ func (t *VarTable) Intern(name string) (VarID, error) {
 	if len(t.names) >= MaxVars {
 		return 0, fmt.Errorf("variable table full: %d variables supported", MaxVars)
 	}
+	name = strings.Clone(name)
 	id := VarID(len(t.names))
 	t.names = append(t.names, name)
 	t.index[name] = id

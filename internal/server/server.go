@@ -128,7 +128,7 @@ func New(cfg Config) (*Server, error) {
 	// first server's checker feeds the gauge (one checker per process is
 	// the intended shape; tests spinning up several keep the first).
 	s.reg.GaugeFunc("ccs_checker_processes",
-		"Structurally distinct processes the checker's artifact cache has seen.",
+		"Process records in the checker's artifact cache: distinct caller processes plus derived quotients and saturated forms.",
 		func() float64 { return float64(cfg.Checker.Stats().Processes) })
 	s.reg.GaugeFunc("ccs_http_in_flight",
 		"Requests currently being answered.",

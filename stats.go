@@ -25,8 +25,9 @@ type StoreStats struct {
 
 // CheckerStats is a snapshot of a Checker's caches.
 type CheckerStats struct {
-	// Processes counts the structurally distinct processes the in-memory
-	// artifact cache has seen.
+	// Processes counts the in-memory artifact cache's records: one per
+	// structurally distinct process a caller supplied, plus one per
+	// quotient or saturated form the engine derived from them.
 	Processes int `json:"processes"`
 	// Store is the persistent tier's counters; nil for a memory-only
 	// Checker.
@@ -77,7 +78,7 @@ func (c *Checker) Stats() CheckerStats {
 // front end prints.
 func (s CheckerStats) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cache: %d distinct processes", s.Processes)
+	fmt.Fprintf(&b, "cache: %d process records", s.Processes)
 	if st := s.Store; st != nil {
 		fmt.Fprintf(&b, "; store: %d entries (%d bytes), %d hits / %d misses, %d writes",
 			st.Entries, st.Bytes, st.Hits, st.Misses, st.Writes)
