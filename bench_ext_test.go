@@ -1,14 +1,17 @@
 // Benchmarks for the extension machinery: composition products, the
-// simulation preorder, observation congruence, failures refinement, and
-// extended (intersection) star expressions (experiment E14).
+// simulation preorder, observation congruence, failures refinement,
+// extended (intersection) star expressions (experiment E14), and the
+// sync-vector protocol networks.
 package ccs_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ccs/internal/core"
+	"ccs/internal/engine"
 	"ccs/internal/expr"
 	"ccs/internal/failures"
 	"ccs/internal/fsp"
@@ -123,6 +126,43 @@ func BenchmarkQuotientWeak(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.QuotientWeak(f); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNetworkProtocols measures the two consumers of product
+// successor enumeration on the distributed-protocols gallery, on a warm
+// engine so that component quotients are cached: "compose" materializes
+// the product of the minimized network (FSPCtx), "otf" plays the
+// on-the-fly game against the entry's spec (CheckNetworkOTFInfo, which
+// re-uses the cached quotients). Verdicts are checked on every iteration.
+func BenchmarkNetworkProtocols(b *testing.B) {
+	ctx := context.Background()
+	for _, entry := range gen.ProtocolGallery() {
+		c := engine.New()
+		min, err := c.MinimizeNetwork(ctx, entry.Net, engine.Weak)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("compose/"+entry.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := min.FSPCtx(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("otf/"+entry.Name, func(b *testing.B) {
+			if eq, _, err := c.CheckNetworkOTFInfo(ctx, entry.Net, entry.Spec, engine.Weak, 0); err != nil || eq != entry.Weak {
+				b.Fatalf("warm-up: verdict %v (err %v), want %v", eq, err, entry.Weak)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				eq, info, err := c.CheckNetworkOTFInfo(ctx, entry.Net, entry.Spec, engine.Weak, 0)
+				if err != nil || eq != entry.Weak || !info.OnTheFly {
+					b.Fatalf("verdict %v on route %s (err %v), want %v on the fly", eq, info.Route, err, entry.Weak)
 				}
 			}
 		})

@@ -1,10 +1,11 @@
 // Benchmarks regenerating the paper's quantitative claims, one family per
-// experiment of DESIGN.md's index (E1..E13; E5/E9/E11 are verdict tables
-// exercised here as fixed-size checks). Run with:
+// ccsbench experiment (E1..E13; E5/E9/E11 are verdict tables exercised
+// here as fixed-size checks). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Measured shapes are recorded against the paper's claims in EXPERIMENTS.md.
+// `go run ./cmd/ccsbench -exp eN` prints the same shapes as tables, each
+// with the paper's claim it checks.
 package ccs_test
 
 import (

@@ -1,7 +1,8 @@
 // Command ccsbench regenerates the paper's tables and figures as terminal
-// tables — one experiment per artifact, indexed E1..E23 (see DESIGN.md for
-// the experiment-to-paper mapping and EXPERIMENTS.md for recorded results;
-// E15 measures the batch equivalence engine, E16 the shared CSR refinement
+// tables — one experiment per artifact, indexed E1..E23, each printing the
+// claim it checks on its "expect:" line (the README's ccsbench section
+// lists them, and the committed BENCH_E*.json trajectories hold recorded
+// results; E15 measures the batch equivalence engine, E16 the shared CSR refinement
 // kernel, E17 the compositional minimize-then-compose pipeline, E18 the on-the-fly
 // game against minimize-then-compose, E19 the determinized on-the-fly
 // game on nondeterministic specs, E20 the persistent artifact store's

@@ -40,9 +40,12 @@
 package compose
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"ccs/internal/fsp"
@@ -204,6 +207,8 @@ func (n *Network) String() string {
 // productSink receives the reachable product as it is explored. States are
 // announced in discovery order (state i is the i-th addState call; state 0
 // is the start), so arcs only ever mention already-announced states.
+// extNames is only valid during the addState call: the explorer reuses its
+// backing array for the next state.
 type productSink interface {
 	addState(extNames []string)
 	addArc(from, label, to int32)
@@ -216,12 +221,27 @@ type Step struct {
 	To    int32
 }
 
+// cmpStep orders steps by (Label, To), the order of every Trans row.
+func cmpStep(a, b Step) int {
+	if a.Label != b.Label {
+		return cmp.Compare(a.Label, b.Label)
+	}
+	return cmp.Compare(a.To, b.To)
+}
+
 // Expansion is the dense-label translated view of a network: every
 // component's transitions with relabelings applied and actions interned
 // into one shared label space, plus the co-name and hidden tables the
 // product semantics needs. It is the substrate both of the materializing
 // explorer (run) and of the on-the-fly checker in internal/otf, which
 // draws successor tuples from it without ever building the product.
+//
+// Alongside the exported tables it keeps a carrier index: for every label
+// l, the components that have any arc labelled l, in ascending order.
+// Successor enumeration visits only those — a handshake on l looks for
+// partners among the carriers of l's co-name, a sync-vector part among the
+// carriers of the part — so the work per product state is linear in the
+// components that can actually move, not in the network's width.
 // An Expansion is immutable after construction and safe for concurrent
 // readers.
 type Expansion struct {
@@ -232,6 +252,12 @@ type Expansion struct {
 	Exts    [][][]string // Exts[i][s]: extension variable names
 	Starts  []int32
 	Vectors []SyncVec // translated sync table; vectors with a restricted result are dropped
+
+	// The carrier index: carrierComp[carrierStart[l]:carrierStart[l+1]]
+	// lists the components with an arc labelled l, ascending.
+	carrierStart []int32
+	carrierComp  []int32
+	vecScratch   int // int32 scratch words one emitVectors call needs (see vecMatch)
 }
 
 // SyncVec is a SyncRule translated into the dense label space: Parts is
@@ -246,10 +272,18 @@ type SyncVec struct {
 // K returns the number of components.
 func (e *Expansion) K() int { return len(e.Trans) }
 
+// carriers returns the components with an arc labelled l, ascending.
+func (e *Expansion) carriers(l int32) []int32 {
+	return e.carrierComp[e.carrierStart[l]:e.carrierStart[l+1]]
+}
+
 // Expand translates every component into the shared dense label space:
 // relabelings are applied by name (with co-name transport), the hidden set
-// is marked on names and co-names, and per-state arcs are re-sorted by the
-// dense label so handshake partners are found by binary search.
+// is marked on names and co-names, per-state arcs are put in dense-label
+// order (re-sorted only where relabeling disturbed the component's own
+// order) so handshake partners are found by binary search, and the carrier
+// index is built in the same pass. All components' steps share one slab,
+// and components that are the same *fsp.FSP share one extension table.
 func (n *Network) Expand() (*Expansion, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -270,13 +304,32 @@ func (n *Network) Expand() (*Expansion, error) {
 	e.Trans = make([][][]Step, k)
 	e.Exts = make([][][]string, k)
 	e.Starts = make([]int32, k)
+	nStates, nArcs, nActs := 0, 0, 0
+	for _, comp := range n.Components {
+		nStates += comp.P.NumStates()
+		nArcs += comp.P.NumTransitions()
+		nActs += comp.P.Alphabet().Len()
+	}
+	rows := make([][]Step, nStates)
+	slab := make([]Step, nArcs)
+	var actLabel []int32
+	// carried lists (label, component) once per label a component carries,
+	// in component order; last[l] is the last component listed for l. A
+	// component carries at most its alphabet, which bounds both.
+	carried := make([][2]int32, 0, nActs)
+	last := make([]int32, 0, nActs)
 	for i, comp := range n.Components {
 		f := comp.P
 		e.Starts[i] = int32(f.Start())
 		// Per-action dense label after relabeling. An explicit entry for a
 		// name wins; otherwise a base-name entry carries its co-name.
-		actLabel := make([]int32, f.Alphabet().Len())
-		for a := 1; a < f.Alphabet().Len(); a++ {
+		na := f.Alphabet().Len()
+		if cap(actLabel) < na {
+			actLabel = make([]int32, na)
+		}
+		actLabel = actLabel[:na]
+		actLabel[fsp.Tau] = 0
+		for a := 1; a < na; a++ {
 			name := f.Alphabet().Name(fsp.Action(a))
 			if to, ok := comp.Relabel[name]; ok {
 				name = to
@@ -290,32 +343,38 @@ func (n *Network) Expand() (*Expansion, error) {
 			}
 			actLabel[a] = intern(name)
 		}
-		e.Trans[i] = make([][]Step, f.NumStates())
-		e.Exts[i] = make([][]string, f.NumStates())
-		for s := 0; s < f.NumStates(); s++ {
+		for len(last) < len(e.Labels) {
+			last = append(last, -1)
+		}
+		ns := f.NumStates()
+		e.Trans[i], rows = rows[:ns:ns], rows[ns:]
+		for s := range e.Trans[i] {
 			arcs := f.Arcs(fsp.State(s))
-			ps := make([]Step, len(arcs))
+			ps := slab[:len(arcs):len(arcs)]
+			slab = slab[len(arcs):]
 			for j, a := range arcs {
-				lbl := int32(0)
-				if a.Act != fsp.Tau {
-					lbl = actLabel[a.Act]
+				l := actLabel[a.Act]
+				ps[j] = Step{Label: l, To: int32(a.To)}
+				if l != 0 && last[l] != int32(i) {
+					last[l] = int32(i)
+					carried = append(carried, [2]int32{l, int32(i)})
 				}
-				ps[j] = Step{Label: lbl, To: int32(a.To)}
 			}
-			sort.Slice(ps, func(x, y int) bool {
-				if ps[x].Label != ps[y].Label {
-					return ps[x].Label < ps[y].Label
-				}
-				return ps[x].To < ps[y].To
-			})
+			if !slices.IsSortedFunc(ps, cmpStep) {
+				slices.SortFunc(ps, cmpStep)
+			}
 			e.Trans[i][s] = ps
-			if ext := f.Ext(fsp.State(s)); ext != fsp.EmptyVars {
-				var names []string
-				for _, id := range ext.IDs() {
-					names = append(names, f.Vars().Name(id))
-				}
-				e.Exts[i][s] = names
+		}
+		// Instances of one process share its extension table; looking a
+		// few components back catches the usual runs of identical
+		// instances without a map.
+		for j := i - 1; j >= 0 && j >= i-4 && e.Exts[i] == nil; j-- {
+			if n.Components[j].P == f {
+				e.Exts[i] = e.Exts[j]
 			}
+		}
+		if e.Exts[i] == nil {
+			e.Exts[i] = extNames(f)
 		}
 	}
 
@@ -327,7 +386,7 @@ func (n *Network) Expand() (*Expansion, error) {
 		for j, p := range r.Parts {
 			parts[j] = intern(p)
 		}
-		sort.Slice(parts, func(x, y int) bool { return parts[x] < parts[y] })
+		slices.Sort(parts)
 		res := int32(0)
 		if !r.Tau() {
 			res = intern(r.Result)
@@ -335,10 +394,11 @@ func (n *Network) Expand() (*Expansion, error) {
 		e.Vectors = append(e.Vectors, SyncVec{Parts: parts, Result: res})
 	}
 
-	e.CoOf = make([]int32, len(e.Labels))
-	e.Hidden = make([]bool, len(e.Labels))
-	for l := 1; l < len(e.Labels); l++ {
-		if co, ok := ids[fsp.CoName(e.Labels[l])]; ok {
+	nl := len(e.Labels)
+	e.CoOf = make([]int32, nl)
+	e.Hidden = make([]bool, nl)
+	for l := 1; l < nl; l++ {
+		if co, ok := coID(ids, e.Labels[l]); ok {
 			e.CoOf[l] = co
 		} else {
 			e.CoOf[l] = -1
@@ -349,7 +409,7 @@ func (n *Network) Expand() (*Expansion, error) {
 		if id, ok := ids[h]; ok {
 			e.Hidden[id] = true
 		}
-		if id, ok := ids[fsp.CoName(h)]; ok {
+		if id, ok := coID(ids, h); ok {
 			e.Hidden[id] = true
 		}
 	}
@@ -366,17 +426,102 @@ func (n *Network) Expand() (*Expansion, error) {
 		}
 		e.Vectors = kept
 	}
+
+	// Carrier index: a stable counting sort of carried by label, so each
+	// label's carriers stay in component order. last becomes the cursor.
+	e.carrierStart = make([]int32, nl+1)
+	for _, c := range carried {
+		e.carrierStart[c[0]+1]++
+	}
+	for l := 1; l <= nl; l++ {
+		e.carrierStart[l] += e.carrierStart[l-1]
+	}
+	e.carrierComp = make([]int32, len(carried))
+	copy(last, e.carrierStart)
+	for _, c := range carried {
+		e.carrierComp[last[c[0]]] = c[1]
+		last[c[0]]++
+	}
+	// Scratch for one emitVectors call: a used mark per component plus the
+	// candidate table of the widest vector (two header words per run of
+	// equal-label parts, three words per carrier of the run's label).
+	for _, v := range e.Vectors {
+		need := 0
+		for p, l := range v.Parts {
+			if p == 0 || v.Parts[p-1] != l {
+				need += 2 + 3*len(e.carriers(l))
+			}
+		}
+		e.vecScratch = max(e.vecScratch, need)
+	}
+	e.vecScratch += k
 	return e, nil
 }
 
-// span returns the run of arcs labelled l in the label-sorted slice ps.
-func span(ps []Step, l int32) []Step {
-	lo := sort.Search(len(ps), func(i int) bool { return ps[i].Label >= l })
-	hi := lo
+// coID looks up the dense id of name's co-name (fsp.CoName) without
+// building the co-name on the heap.
+func coID(ids map[string]int32, name string) (int32, bool) {
+	if base, ok := strings.CutSuffix(name, "'"); ok {
+		id, ok := ids[base]
+		return id, ok
+	}
+	id, ok := ids[name+"'"]
+	return id, ok
+}
+
+// extNames lists every state's extension by variable name (nil for the
+// empty extension), building one name slice per distinct extension set
+// that the states then share. Most processes have a single non-empty
+// extension ({x} on accepting states), so the map of sets is only made
+// once a second distinct one turns up.
+func extNames(f *fsp.FSP) [][]string {
+	out := make([][]string, f.NumStates())
+	var lastSet fsp.VarSet
+	var lastNames []string
+	var bySet map[fsp.VarSet][]string
+	for s := range out {
+		set := f.Ext(fsp.State(s))
+		if set == fsp.EmptyVars {
+			continue
+		}
+		if set != lastSet {
+			names, ok := bySet[set]
+			if !ok {
+				names = make([]string, 0, set.Len())
+				for v := uint64(set); v != 0; v &= v - 1 {
+					names = append(names, f.Vars().Name(fsp.VarID(bits.TrailingZeros64(v))))
+				}
+				if lastNames != nil {
+					if bySet == nil {
+						bySet = map[fsp.VarSet][]string{lastSet: lastNames}
+					}
+					bySet[set] = names
+				}
+			}
+			lastSet, lastNames = set, names
+		}
+		out[s] = lastNames
+	}
+	return out
+}
+
+// span returns the bounds [lo, hi) of the run of arcs labelled l in the
+// label-sorted slice ps.
+func span(ps []Step, l int32) (lo, hi int) {
+	hi = len(ps)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ps[m].Label < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	hi = lo
 	for hi < len(ps) && ps[hi].Label == l {
 		hi++
 	}
-	return ps[lo:hi]
+	return lo, hi
 }
 
 // Succ enumerates the product successors of the state vector cur exactly
@@ -387,9 +532,25 @@ func span(ps []Step, l int32) []Step {
 // the successor vector, which it must copy if retained (the slice is
 // reused). Returning false from emit aborts the enumeration; Succ reports
 // whether it ran to completion.
+//
+// The emission stream is a pinned contract, order and multiplicity
+// included: for each component i in ascending order and each of its arcs
+// in (Label, To) order, the interleaving (if unhidden), then the
+// handshakes with later components j in ascending order; after that, for
+// each vector in table order, its firings in the order described at
+// matchVector. The materializing sinks, AppendSucc, the otf game and the
+// differential tests all depend on it. Multiplicity means a successor is
+// emitted once per way of reaching it: a satisfied quorum of q equal parts
+// over m interchangeable carriers (self-loop voters, say) emits C(m, q)
+// identical joint steps, which grows combinatorially for wide quorums
+// (ByzantineQuorum(31, 10, 0) would emit up to C(31, 21) per state).
+//
+// Handshake partners and vector parts are looked up in the carrier index,
+// so components without an arc on the label are never visited; a vector
+// is dropped before any search at a state where one of its runs of equal
+// parts has fewer enabled carriers than parts.
 func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32) bool) bool {
-	k := len(e.Trans)
-	for i := 0; i < k; i++ {
+	for i := range e.Trans {
 		for _, a := range e.Trans[i][cur[i]] {
 			// Interleaving: tau always; observables unless hidden.
 			if a.Label == 0 || !e.Hidden[a.Label] {
@@ -410,8 +571,12 @@ func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32)
 			if co < 0 {
 				continue
 			}
-			for j := i + 1; j < k; j++ {
-				for _, b := range span(e.Trans[j][cur[j]], co) {
+			cs := e.carriers(co)
+			later, _ := slices.BinarySearch(cs, int32(i)+1)
+			for _, j := range cs[later:] {
+				row := e.Trans[j][cur[j]]
+				lo, hi := span(row, co)
+				for _, b := range row[lo:hi] {
 					copy(succ, cur)
 					succ[i] = a.To
 					succ[j] = b.To
@@ -422,66 +587,131 @@ func (e *Expansion) Succ(cur, succ []int32, emit func(label int32, succ []int32)
 			}
 		}
 	}
+	if len(e.Vectors) == 0 {
+		return true
+	}
 	return e.emitVectors(cur, succ, emit)
 }
 
 // emitVectors enumerates every firing of every sync vector at cur: for
 // each vector, every assignment of its parts to distinct components whose
 // current state enables the part (one arc choice per component), emitted
-// as a single joint step labelled with the vector's result. It is a no-op
-// on the default (empty) table, so plain CCS networks pay nothing — not
-// even the scratch allocation.
+// as a single joint step labelled with the vector's result. succ is the
+// caller's length-K scratch. The matcher's own scratch (e.vecScratch
+// words) lives on the stack up to vecStack words and is allocated once
+// per call beyond that.
 func (e *Expansion) emitVectors(cur, succ []int32, emit func(label int32, succ []int32) bool) bool {
-	if len(e.Vectors) == 0 {
-		return true
+	var stack [vecStack]int32
+	scratch := stack[:]
+	if e.vecScratch > vecStack {
+		scratch = make([]int32, e.vecScratch)
 	}
+	k := len(e.Trans)
 	// succ doubles as the in-progress joint successor: matchVector writes
 	// the chosen component moves into it and restores cur on backtrack, so
 	// between vectors succ is always a copy of cur.
 	copy(succ, cur)
-	used := make([]bool, len(e.Trans))
+	m := vecMatch{e: e, cur: cur, used: scratch[:k]}
 	for _, v := range e.Vectors {
-		if !e.matchVector(v, 0, -1, cur, succ, used, emit) {
+		var ok bool
+		if m.tab, ok = m.load(v, scratch[k:]); !ok {
+			continue
+		}
+		m.res = v.Result
+		if !m.matchVector(0, 2, int(m.tab[0]), succ, emit) {
 			return false
 		}
 	}
 	return true
 }
 
-// matchVector assigns v.Parts[p:] to distinct components not yet in used,
-// emitting one joint successor per complete assignment. prev is the
-// component that took part p-1: because Parts is sorted, a run of
-// equal-label parts is forced onto strictly increasing component indices,
-// so each unordered choice of components is emitted exactly once (arc
-// multiplicity within one component still multiplies, as it must).
-func (e *Expansion) matchVector(v SyncVec, p int, prev int, cur, succ []int32, used []bool, emit func(label int32, succ []int32) bool) bool {
-	if p == len(v.Parts) {
-		return emit(v.Result, succ)
+// vecStack is the matcher scratch, in int32 words, that emitVectors keeps
+// on the stack: enough for the candidate tables of protocol networks of a
+// few dozen components.
+const vecStack = 128
+
+// vecMatch is the per-call state of the sync-vector matcher. tab is the
+// candidate table of the vector being matched: for each run of equal-label
+// parts, in ascending label order, a header (parts in the run, candidates
+// in the run) followed by one (component, span lo, span hi) triple per
+// carrier of the label whose current state enables it, in ascending
+// component order. used marks the components holding a part of the
+// assignment in progress, across runs: a component carrying two different
+// labels of one vector is still used at most once. The joint successor
+// and the emit callback travel as matchVector arguments instead, so that
+// neither the callback nor cur escapes to the heap.
+type vecMatch struct {
+	e    *Expansion
+	cur  []int32
+	used []int32
+	tab  []int32
+	res  int32
+}
+
+// load builds v's candidate table at m.cur in buf and reports whether
+// every run has at least as many enabled candidates as it has parts; a
+// vector failing that cannot fire at this state and is skipped before any
+// search.
+func (m *vecMatch) load(v SyncVec, buf []int32) ([]int32, bool) {
+	tab := buf[:0]
+	for p := 0; p < len(v.Parts); {
+		l := v.Parts[p]
+		q := p + 1
+		for q < len(v.Parts) && v.Parts[q] == l {
+			q++
+		}
+		hdr := len(tab)
+		tab = append(tab, int32(q-p), 0)
+		for _, c := range m.e.carriers(l) {
+			if lo, hi := span(m.e.Trans[c][m.cur[c]], l); lo < hi {
+				tab = append(tab, c, int32(lo), int32(hi))
+			}
+		}
+		nc := (len(tab) - hdr - 2) / 3
+		if nc < q-p {
+			return nil, false
+		}
+		tab[hdr+1] = int32(nc)
+		p = q
 	}
-	l := v.Parts[p]
-	lo := 0
-	if p > 0 && v.Parts[p-1] == l {
-		lo = prev + 1
+	return tab, true
+}
+
+// matchVector assigns the open parts of the loaded vector: left parts of
+// the run whose header is at hdr remain, to be taken by the candidates
+// from triple index c on, and every later run is still open. It emits one
+// joint successor per complete assignment. Within a run the candidates
+// are taken in strictly increasing component order, so each unordered
+// choice of components is emitted exactly once (arc multiplicity within
+// one component still multiplies, as it must); the emission order is
+// lexicographic in the (component, arc) choice of part 0, then part 1,
+// and so on. A run stops as soon as its remaining candidates cannot fill
+// its remaining parts, so every branch the search enters can complete
+// unless a cross-run used mark blocks it: the work is proportional to
+// the firings emitted, not to the subsets of carriers.
+func (m *vecMatch) matchVector(hdr, c, left int, succ []int32, emit func(label int32, succ []int32) bool) bool {
+	if left == 0 {
+		hdr += 2 + 3*int(m.tab[hdr+1])
+		if hdr == len(m.tab) {
+			return emit(m.res, succ)
+		}
+		c, left = hdr+2, int(m.tab[hdr])
 	}
-	for i := lo; i < len(e.Trans); i++ {
-		if used[i] {
+	end := hdr + 2 + 3*int(m.tab[hdr+1])
+	for ; end-c >= 3*left; c += 3 {
+		i := m.tab[c]
+		if m.used[i] != 0 {
 			continue
 		}
-		arcs := span(e.Trans[i][cur[i]], l)
-		if len(arcs) == 0 {
-			continue
-		}
-		used[i] = true
-		for _, a := range arcs {
+		m.used[i] = 1
+		for _, a := range m.e.Trans[i][m.cur[i]][m.tab[c+1]:m.tab[c+2]] {
 			succ[i] = a.To
-			if !e.matchVector(v, p+1, i, cur, succ, used, emit) {
-				succ[i] = cur[i]
-				used[i] = false
+			if !m.matchVector(hdr, c+3, left-1, succ, emit) {
 				return false
 			}
 		}
-		succ[i] = cur[i]
-		used[i] = false
+		succ[i] = m.cur[i]
+		m.used[i] = 0
 	}
 	return true
 }
@@ -496,6 +726,8 @@ type SuccBatch struct {
 	K      int     // vector stride
 	Labels []int32 // dense label of successor i
 	Vecs   []int32 // len(Labels) vector windows of stride K
+
+	joint []int32 // AppendSucc's joint-successor scratch for sync vectors
 }
 
 // Reset clears the batch for reuse, keeping capacity.
@@ -533,20 +765,26 @@ func (e *Expansion) AppendSucc(cur []int32, b *SuccBatch) {
 			if co < 0 {
 				continue
 			}
-			for j := i + 1; j < k; j++ {
-				for _, h := range span(e.Trans[j][cur[j]], co) {
+			cs := e.carriers(co)
+			later, _ := slices.BinarySearch(cs, int32(i)+1)
+			for _, j := range cs[later:] {
+				row := e.Trans[j][cur[j]]
+				lo, hi := span(row, co)
+				for _, h := range row[lo:hi] {
 					base := len(b.Vecs)
 					b.Vecs = append(b.Vecs, cur...)
 					b.Vecs[base+i] = a.To
-					b.Vecs[base+j] = h.To
+					b.Vecs[base+int(j)] = h.To
 					b.Labels = append(b.Labels, 0)
 				}
 			}
 		}
 	}
 	if len(e.Vectors) > 0 {
-		succ := make([]int32, k)
-		e.emitVectors(cur, succ, func(label int32, s []int32) bool {
+		if len(b.joint) != k {
+			b.joint = make([]int32, k)
+		}
+		e.emitVectors(cur, b.joint, func(label int32, s []int32) bool {
 			b.Vecs = append(b.Vecs, s...)
 			b.Labels = append(b.Labels, label)
 			return true
@@ -556,20 +794,40 @@ func (e *Expansion) AppendSucc(cur []int32, b *SuccBatch) {
 
 // AppendExtNames appends the extension of the product state cur — the
 // union of the component extensions by name, sorted and deduplicated — to
-// dst and returns the extended slice. seen is caller-provided scratch,
-// cleared on entry.
+// dst and returns the extended slice. A union is usually one or two names
+// ({x} on accepting states), so duplicates are found by scanning what was
+// appended so far; seen is caller-provided scratch that takes over, after
+// being cleared, once the union outgrows that scan.
 func (e *Expansion) AppendExtNames(dst []string, cur []int32, seen map[string]bool) []string {
-	clear(seen)
+	const scanUnion = 8
 	base := len(dst)
+	hashed := false
 	for i, s := range cur {
+	names:
 		for _, nm := range e.Exts[i][s] {
-			if !seen[nm] {
-				seen[nm] = true
-				dst = append(dst, nm)
+			if hashed {
+				if !seen[nm] {
+					seen[nm] = true
+					dst = append(dst, nm)
+				}
+				continue
+			}
+			for _, d := range dst[base:] {
+				if d == nm {
+					continue names
+				}
+			}
+			dst = append(dst, nm)
+			if len(dst)-base > scanUnion {
+				clear(seen)
+				for _, d := range dst[base:] {
+					seen[d] = true
+				}
+				hashed = true
 			}
 		}
 	}
-	sort.Strings(dst[base:])
+	slices.Sort(dst[base:])
 	return dst
 }
 
@@ -589,26 +847,23 @@ func (e *Expansion) run(ctx context.Context, sink productSink) error {
 	ids := map[string]int32{}
 	var order []int32 // flat vectors, stride k
 	keyBuf := make([]byte, 4*k)
-	key := func(v []int32) string {
-		for i, s := range v {
-			keyBuf[4*i] = byte(s)
-			keyBuf[4*i+1] = byte(s >> 8)
-			keyBuf[4*i+2] = byte(s >> 16)
-			keyBuf[4*i+3] = byte(s >> 24)
-		}
-		return string(keyBuf)
-	}
 	extScratch := map[string]bool{}
+	var extBuf []string
 	intern := func(v []int32) int32 {
-		kk := key(v)
-		if id, ok := ids[kk]; ok {
+		for i, s := range v {
+			binary.LittleEndian.PutUint32(keyBuf[4*i:], uint32(s))
+		}
+		// The lookup converts keyBuf without allocating; only a new
+		// state's key is copied into a string.
+		if id, ok := ids[string(keyBuf)]; ok {
 			return id
 		}
 		id := int32(len(order) / k)
-		ids[kk] = id
+		ids[string(keyBuf)] = id
 		order = append(order, v...)
 		// Extension: union of the component extensions by name.
-		sink.addState(e.AppendExtNames(nil, v, extScratch))
+		extBuf = e.AppendExtNames(extBuf[:0], v, extScratch)
+		sink.addState(extBuf)
 		return id
 	}
 

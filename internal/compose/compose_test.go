@@ -465,3 +465,50 @@ func TestAppendSuccMatchesSucc(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendExtNamesUnion pins the product extension — the sorted,
+// deduplicated union of the component extensions — on unions both short
+// enough for the linear duplicate scan and wide enough for the seen map,
+// with names repeated within and across components and appended after
+// existing dst entries.
+func TestAppendExtNamesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 200; round++ {
+		net := &compose.Network{Name: "ext"}
+		width := 1 + rng.Intn(6)
+		for c := 0; c < 1+rng.Intn(5); c++ {
+			b := fsp.NewBuilder(fmt.Sprint("P", c))
+			b.AddStates(2)
+			b.ArcName(0, "a", 1)
+			b.ArcName(1, "a", 0)
+			for s := 0; s < 2; s++ {
+				for j := rng.Intn(width + 1); j > 0; j-- {
+					b.Extend(fsp.State(s), fmt.Sprint("v", rng.Intn(4*width)))
+				}
+			}
+			net.Add(b.MustBuild(), nil)
+		}
+		e, err := net.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{"stale": true}
+		for _, cur := range reachable(t, e) {
+			want := map[string]bool{}
+			for i, s := range cur {
+				for _, nm := range e.Exts[i][s] {
+					want[nm] = true
+				}
+			}
+			got := e.AppendExtNames([]string{"keep"}, cur, seen)
+			if got[0] != "keep" || len(got)-1 != len(want) {
+				t.Fatalf("round %d at %v: union %v, want the %d names of %v after keep", round, cur, got, len(want), want)
+			}
+			for j, nm := range got[1:] {
+				if !want[nm] || (j > 0 && got[j] >= nm) {
+					t.Fatalf("round %d at %v: union %v is not the sorted set %v", round, cur, got[1:], want)
+				}
+			}
+		}
+	}
+}

@@ -226,10 +226,29 @@ func sortEmissions(es []emission) {
 	})
 }
 
+// choice builds a process that can take any one of several parts of a
+// vector: from its base, action i leads to state i+1, which returns to the
+// base by tau. Distinct targets keep the brute-force reference, which
+// tells choices apart by (component, target), exact on it.
+func choice(name string, actions ...string) *fsp.FSP {
+	b := fsp.NewBuilder(name)
+	b.AddStates(1 + len(actions))
+	b.Accept(0)
+	for i, a := range actions {
+		b.ArcName(0, a, fsp.State(i+1))
+		b.ArcName(fsp.State(i+1), fsp.TauName, 0)
+		b.Accept(fsp.State(i + 1))
+	}
+	return b.MustBuild()
+}
+
 // syncNets builds a spread of sync-table networks covering the matcher's
 // edge cases: 3-way rendezvous, equal-label parts (quorum shape), parts
 // with several arcs per state, hidden parts, visible and hidden results,
-// several rules at once, and parts no component carries.
+// several rules at once, parts no component carries, one component
+// carrying two different parts of a vector, carriers that enable a part
+// at some states only, more equal parts than carriers, and small
+// instances of every protocol of gen.ProtocolGallery.
 func syncNets() []*compose.Network {
 	a3 := func() *fsp.FSP { return loop("A", "a") }
 	nets := []*compose.Network{
@@ -267,7 +286,25 @@ func syncNets() []*compose.Network {
 		// mechanisms coexist at one state.
 		compose.New("hybrid", sender(), receiver(), loop("W", "b")).
 			AddSync("joint", "b'", "b").Hide("a", "b"),
+		// One component carries both labels of the vector: it may take
+		// either part but never both, across the runs of equal parts.
+		compose.New("overlap", choice("AB", "a", "b"), loop("A", "a"), loop("B", "b"), choice("AB2", "a", "b")).
+			AddSync("ab", "a", "b").AddSync("aab", "a", "a", "b").Hide("a", "b"),
+		// Carriers that enable the part only at some of their states.
+		compose.New("partial", loop("P", "a", "x"), loop("Q", "a"), loop("R", "y", "a", "z")).
+			AddSync("go", "a", "a").AddSync("all", "a", "a", "a").Hide("a"),
+		// More equal-label parts than carriers: the vector never fires.
+		compose.New("deficit", a3(), a3()).AddSync("", "a", "a", "a").Hide("a"),
 	}
+	nets = append(nets,
+		gen.TwoPhaseCommit(4, 0),
+		gen.BuggyTwoPhaseCommit(4),
+		gen.ElectionRing(4),
+		gen.NoAckElectionRing(4),
+		gen.ByzantineQuorum(4, 1, 1),
+		gen.ByzantineQuorum(4, 1, 2),
+		gen.ByzantineQuorumSwarm(5, 1, 2, 2),
+	)
 	return nets
 }
 
@@ -292,6 +329,71 @@ func TestVectorSuccMatchesBruteForce(t *testing.T) {
 			for j := range got {
 				if got[j] != want[j] {
 					t.Fatalf("%s at %v: emission %d: Succ %v, brute force %v", net, cur, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// vectorOrderRef spells out Succ's pinned emission order without the
+// carrier index or any pruning: the pairwise stream, then for each vector
+// in table order every assignment of its sorted parts to distinct
+// components — a run of equal parts on strictly increasing components —
+// in lexicographic order of the (component, arc) choice of part 0, then
+// part 1, and so on.
+func vectorOrderRef(e *compose.Expansion, cur []int32) []emission {
+	out := pairwiseRef(e, cur)
+	succ := append([]int32(nil), cur...)
+	used := make([]bool, e.K())
+	for _, v := range e.Vectors {
+		var fill func(p, prev int)
+		fill = func(p, prev int) {
+			if p == len(v.Parts) {
+				out = append(out, emission{v.Result, fmt.Sprint(succ)})
+				return
+			}
+			lo := 0
+			if p > 0 && v.Parts[p-1] == v.Parts[p] {
+				lo = prev + 1
+			}
+			for i := lo; i < e.K(); i++ {
+				if used[i] {
+					continue
+				}
+				used[i] = true
+				for _, a := range e.Trans[i][cur[i]] {
+					if a.Label == v.Parts[p] {
+						succ[i] = a.To
+						fill(p+1, i)
+					}
+				}
+				succ[i] = cur[i]
+				used[i] = false
+			}
+		}
+		fill(0, -1)
+	}
+	return out
+}
+
+// TestVectorSuccOrder pins the order half of Succ's stream contract on
+// sync networks, which TestVectorSuccMatchesBruteForce checks only as a
+// multiset: at every reachable state the emissions must follow
+// vectorOrderRef exactly.
+func TestVectorSuccOrder(t *testing.T) {
+	for _, net := range syncNets() {
+		e, err := net.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cur := range reachable(t, e) {
+			got, want := collectSucc(e, cur), vectorOrderRef(e, cur)
+			if len(got) != len(want) {
+				t.Fatalf("%s at %v: Succ emits %d, ordered reference %d", net, cur, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%s at %v successor %d: Succ %v, ordered reference %v", net, cur, j, got[j], want[j])
 				}
 			}
 		}
