@@ -282,8 +282,7 @@ func (e *Expansion) carriers(l int32) []int32 {
 // is marked on names and co-names, per-state arcs are put in dense-label
 // order (re-sorted only where relabeling disturbed the component's own
 // order) so handshake partners are found by binary search, and the carrier
-// index is built in the same pass. All components' steps share one slab,
-// and components that are the same *fsp.FSP share one extension table.
+// index is built in the same pass. All components' steps share one slab.
 func (n *Network) Expand() (*Expansion, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -365,17 +364,7 @@ func (n *Network) Expand() (*Expansion, error) {
 			}
 			e.Trans[i][s] = ps
 		}
-		// Instances of one process share its extension table; looking a
-		// few components back catches the usual runs of identical
-		// instances without a map.
-		for j := i - 1; j >= 0 && j >= i-4 && e.Exts[i] == nil; j-- {
-			if n.Components[j].P == f {
-				e.Exts[i] = e.Exts[j]
-			}
-		}
-		if e.Exts[i] == nil {
-			e.Exts[i] = extNames(f)
-		}
+		e.Exts[i] = extNames(f)
 	}
 
 	// Translate the sync table before the label-indexed tables are sized:
@@ -471,36 +460,24 @@ func coID(ids map[string]int32, name string) (int32, bool) {
 
 // extNames lists every state's extension by variable name (nil for the
 // empty extension), building one name slice per distinct extension set
-// that the states then share. Most processes have a single non-empty
-// extension ({x} on accepting states), so the map of sets is only made
-// once a second distinct one turns up.
+// that the states then share.
 func extNames(f *fsp.FSP) [][]string {
 	out := make([][]string, f.NumStates())
-	var lastSet fsp.VarSet
-	var lastNames []string
-	var bySet map[fsp.VarSet][]string
+	bySet := map[fsp.VarSet][]string{}
 	for s := range out {
 		set := f.Ext(fsp.State(s))
 		if set == fsp.EmptyVars {
 			continue
 		}
-		if set != lastSet {
-			names, ok := bySet[set]
-			if !ok {
-				names = make([]string, 0, set.Len())
-				for v := uint64(set); v != 0; v &= v - 1 {
-					names = append(names, f.Vars().Name(fsp.VarID(bits.TrailingZeros64(v))))
-				}
-				if lastNames != nil {
-					if bySet == nil {
-						bySet = map[fsp.VarSet][]string{lastSet: lastNames}
-					}
-					bySet[set] = names
-				}
+		names, ok := bySet[set]
+		if !ok {
+			names = make([]string, 0, set.Len())
+			for v := uint64(set); v != 0; v &= v - 1 {
+				names = append(names, f.Vars().Name(fsp.VarID(bits.TrailingZeros64(v))))
 			}
-			lastSet, lastNames = set, names
+			bySet[set] = names
 		}
-		out[s] = lastNames
+		out[s] = names
 	}
 	return out
 }
@@ -794,41 +771,14 @@ func (e *Expansion) AppendSucc(cur []int32, b *SuccBatch) {
 
 // AppendExtNames appends the extension of the product state cur — the
 // union of the component extensions by name, sorted and deduplicated — to
-// dst and returns the extended slice. A union is usually one or two names
-// ({x} on accepting states), so duplicates are found by scanning what was
-// appended so far; seen is caller-provided scratch that takes over, after
-// being cleared, once the union outgrows that scan.
-func (e *Expansion) AppendExtNames(dst []string, cur []int32, seen map[string]bool) []string {
-	const scanUnion = 8
+// dst and returns the extended slice.
+func (e *Expansion) AppendExtNames(dst []string, cur []int32) []string {
 	base := len(dst)
-	hashed := false
 	for i, s := range cur {
-	names:
-		for _, nm := range e.Exts[i][s] {
-			if hashed {
-				if !seen[nm] {
-					seen[nm] = true
-					dst = append(dst, nm)
-				}
-				continue
-			}
-			for _, d := range dst[base:] {
-				if d == nm {
-					continue names
-				}
-			}
-			dst = append(dst, nm)
-			if len(dst)-base > scanUnion {
-				clear(seen)
-				for _, d := range dst[base:] {
-					seen[d] = true
-				}
-				hashed = true
-			}
-		}
+		dst = append(dst, e.Exts[i][s]...)
 	}
 	slices.Sort(dst[base:])
-	return dst
+	return dst[:base+len(slices.Compact(dst[base:]))]
 }
 
 // pollEvery is how many product states are expanded between context
@@ -847,7 +797,6 @@ func (e *Expansion) run(ctx context.Context, sink productSink) error {
 	ids := map[string]int32{}
 	var order []int32 // flat vectors, stride k
 	keyBuf := make([]byte, 4*k)
-	extScratch := map[string]bool{}
 	var extBuf []string
 	intern := func(v []int32) int32 {
 		for i, s := range v {
@@ -862,7 +811,7 @@ func (e *Expansion) run(ctx context.Context, sink productSink) error {
 		ids[string(keyBuf)] = id
 		order = append(order, v...)
 		// Extension: union of the component extensions by name.
-		extBuf = e.AppendExtNames(extBuf[:0], v, extScratch)
+		extBuf = e.AppendExtNames(extBuf[:0], v)
 		sink.addState(extBuf)
 		return id
 	}

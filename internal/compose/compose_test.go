@@ -467,10 +467,9 @@ func TestAppendSuccMatchesSucc(t *testing.T) {
 }
 
 // TestAppendExtNamesUnion pins the product extension — the sorted,
-// deduplicated union of the component extensions — on unions both short
-// enough for the linear duplicate scan and wide enough for the seen map,
-// with names repeated within and across components and appended after
-// existing dst entries.
+// deduplicated union of the component extensions — on unions of up to
+// two dozen names, with names repeated within and across components and
+// appended after existing dst entries.
 func TestAppendExtNamesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 200; round++ {
@@ -492,7 +491,6 @@ func TestAppendExtNamesUnion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := map[string]bool{"stale": true}
 		for _, cur := range reachable(t, e) {
 			want := map[string]bool{}
 			for i, s := range cur {
@@ -500,7 +498,7 @@ func TestAppendExtNamesUnion(t *testing.T) {
 					want[nm] = true
 				}
 			}
-			got := e.AppendExtNames([]string{"keep"}, cur, seen)
+			got := e.AppendExtNames([]string{"keep"}, cur)
 			if got[0] != "keep" || len(got)-1 != len(want) {
 				t.Fatalf("round %d at %v: union %v, want the %d names of %v after keep", round, cur, got, len(want), want)
 			}
